@@ -65,8 +65,7 @@ pub const SELFTUNE_SETTLE_TOL: f64 = 0.25;
 pub const MIN_WINDOW_STEPS: u64 = 8;
 
 /// Which gain schedule a run uses. `Fixed` (the default) selects the
-/// plain [`ClippedPi`] path and is spelled nowhere in cache keys or
-/// wire requests, so every pre-existing artifact stays valid.
+/// plain [`ClippedPi`] path and is spelled nowhere in wire requests.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum GainScheduleConfig {
     /// Fixed gains — the paper's controller, bit-identical to PR-8-era

@@ -13,7 +13,7 @@ pub const PAPER_PI_KP: f64 = 0.0107;
 pub const PAPER_PI_KI: f64 = 248.5;
 
 /// Dynamic-thermal-management parameters.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DtmConfig {
     /// Thermal emergency threshold (°C); no sensor may exceed this.
     pub threshold: f64,
@@ -43,10 +43,9 @@ pub struct DtmConfig {
     /// tuned).
     pub pi_ki: f64,
     /// Online gain schedule for the DVFS PI controller. `Fixed` (the
-    /// default) selects the paper's fixed-gain controller and keeps
-    /// every pre-adaptive cache key; adaptive schedules rescale the
-    /// gains from the observed temperature trajectory (see
-    /// `dtm_control::adaptive`).
+    /// default) selects the paper's fixed-gain controller; adaptive
+    /// schedules rescale the gains from the observed temperature
+    /// trajectory (see `dtm_control::adaptive`).
     pub gain_schedule: GainScheduleConfig,
 }
 
@@ -70,49 +69,7 @@ impl Default for DtmConfig {
     }
 }
 
-/// The result cache addresses cells by the `Debug` spelling of their
-/// configs, so this impl *is* cache-key format: it reproduces the
-/// pre-PR-8 derived output exactly and appends the PI-gain fields only
-/// when they differ from the paper constants. Paper-gain configs
-/// therefore keep every cache entry written before the gains became
-/// tunable (the same discipline `FaultConfig` uses for the ideal
-/// scenario). Pinned by `debug_repr_is_cache_key_stable`.
-impl std::fmt::Debug for DtmConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut d = f.debug_struct("DtmConfig");
-        d.field("threshold", &self.threshold)
-            .field("stopgo_trip_margin", &self.stopgo_trip_margin)
-            .field("stopgo_stall", &self.stopgo_stall)
-            .field("dvfs_setpoint_margin", &self.dvfs_setpoint_margin)
-            .field("dvfs_min_scale", &self.dvfs_min_scale)
-            .field("dvfs_min_transition", &self.dvfs_min_transition)
-            .field("dvfs_transition_penalty", &self.dvfs_transition_penalty)
-            .field("migration_penalty", &self.migration_penalty)
-            .field("os_tick", &self.os_tick)
-            .field("migration_interval", &self.migration_interval);
-        if self.has_tuned_gains() {
-            d.field("pi_kp", &self.pi_kp).field("pi_ki", &self.pi_ki);
-        }
-        if self.has_adaptive_schedule() {
-            d.field("gain_schedule", &self.gain_schedule);
-        }
-        d.finish()
-    }
-}
-
 impl DtmConfig {
-    /// Whether the PI gains differ from the paper's constants (and so
-    /// must appear in the cache-key `Debug` repr).
-    pub fn has_tuned_gains(&self) -> bool {
-        self.pi_kp != PAPER_PI_KP || self.pi_ki != PAPER_PI_KI
-    }
-
-    /// Whether a non-default (adaptive) gain schedule is selected (and
-    /// so must appear in the cache-key `Debug` repr).
-    pub fn has_adaptive_schedule(&self) -> bool {
-        !self.gain_schedule.is_fixed()
-    }
-
     /// DVFS temperature setpoint (°C).
     pub fn dvfs_setpoint(&self) -> f64 {
         self.threshold - self.dvfs_setpoint_margin
@@ -329,53 +286,6 @@ mod tests {
             ..DtmConfig::default()
         };
         d.validate();
-    }
-
-    /// The harness addresses cache cells by `format!("{dtm:?}")`, so the
-    /// paper-gain `Debug` output must stay byte-identical to the derived
-    /// repr that PR 6/7 hashed. If this string changes, every cached
-    /// result silently rotates.
-    #[test]
-    fn debug_repr_is_cache_key_stable() {
-        let legacy = "DtmConfig { threshold: 84.2, stopgo_trip_margin: 0.2, \
-             stopgo_stall: 0.03, dvfs_setpoint_margin: 2.4, dvfs_min_scale: 0.2, \
-             dvfs_min_transition: 0.02, dvfs_transition_penalty: 1e-5, \
-             migration_penalty: 0.0001, os_tick: 0.001, migration_interval: 0.01 }";
-        assert_eq!(format!("{:?}", DtmConfig::default()), legacy);
-        assert!(!DtmConfig::default().has_tuned_gains());
-        assert!(!DtmConfig::with_threshold(100.0).has_tuned_gains());
-
-        // Tuned gains must change the repr (distinct cache addresses).
-        let tuned = DtmConfig {
-            pi_kp: 0.02,
-            ..DtmConfig::default()
-        };
-        assert!(tuned.has_tuned_gains());
-        let repr = format!("{tuned:?}");
-        assert!(repr.starts_with(&legacy[..legacy.len() - 2]));
-        assert!(repr.contains("pi_kp: 0.02"));
-        assert!(repr.contains("pi_ki: 248.5"));
-    }
-
-    /// Same discipline for the gain schedule: the default (fixed)
-    /// schedule is spelled nowhere, so fixed-gain cache keys are
-    /// byte-identical to pre-adaptive builds; adaptive schedules
-    /// append and therefore rekey.
-    #[test]
-    fn adaptive_schedule_rekeys_but_fixed_does_not() {
-        let fixed = DtmConfig::default();
-        assert!(!fixed.has_adaptive_schedule());
-        assert!(!format!("{fixed:?}").contains("gain_schedule"));
-
-        let adaptive = DtmConfig {
-            gain_schedule: GainScheduleConfig::rao_default(),
-            ..DtmConfig::default()
-        };
-        assert!(adaptive.has_adaptive_schedule());
-        adaptive.validate();
-        let repr = format!("{adaptive:?}");
-        assert!(repr.contains("gain_schedule: Rao { alpha: 1.0, tau_s: 0.002 }"));
-        assert_ne!(repr, format!("{fixed:?}"));
     }
 
     #[test]

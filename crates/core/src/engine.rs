@@ -1119,7 +1119,7 @@ impl ThermalTimingSim {
     /// Effective-gain bounds and adaptation count aggregated across
     /// the run's DVFS controllers (`None` on the fixed-gain path).
     fn gain_stats(&self) -> Option<crate::metrics::GainStats> {
-        if !self.dtm.has_adaptive_schedule() {
+        if self.dtm.gain_schedule.is_fixed() {
             return None;
         }
         let mut m_lo = f64::INFINITY;

@@ -176,9 +176,7 @@ impl Experiment {
         policy: PolicySpec,
     ) -> Result<ThermalTimingSim, SimError> {
         let mut sim = ThermalTimingSim::new(self.sim.clone(), self.dtm, policy, traces)?;
-        if !self.faults.is_ideal() {
-            sim.set_fault_config(&self.faults);
-        }
+        sim.set_fault_config(&self.faults);
         if self.obs.is_enabled() {
             sim.attach_obs(&self.obs);
         }

@@ -381,9 +381,9 @@ mod tests {
         };
         let dtm = s.dtm_for(&p);
         // Snapping must not perturb the Table 3 defaults (they are all
-        // short decimals), so the anchor still hits pre-PR-8 cache keys.
+        // short decimals), so the anchor shares the paper config's
+        // cache key.
         assert_eq!(dtm, DtmConfig::default());
-        assert!(!dtm.has_tuned_gains());
     }
 
     #[test]

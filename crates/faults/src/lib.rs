@@ -59,9 +59,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// [`FaultConfig::ideal`] (the default) is the distinguished no-op:
 /// nothing is injected and the watchdog is off. The experiment harness
-/// folds a `FaultConfig` into a sweep cell's content address **only
-/// when it is not ideal**, so every pre-existing fault-free cache entry
-/// keeps its address.
+/// folds every `FaultConfig`, ideal or not, into a sweep cell's content
+/// address.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultConfig {
     /// The fault schedule.

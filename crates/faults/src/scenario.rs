@@ -125,10 +125,7 @@ impl FaultEvent {
 /// A named, replayable schedule of fault events.
 ///
 /// The empty scenario (`FaultScenario::ideal()`) is the distinguished
-/// fault-free case: it injects nothing, adds no per-step work, and —
-/// critically for the result cache — contributes nothing to a sweep
-/// cell's content address, so fault-free cells keep the addresses they
-/// had before the fault subsystem existed.
+/// fault-free case: it injects nothing and adds no per-step work.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultScenario {
     /// Display name (`ideal`, `stuck-hot`, …) used by experiment tables

@@ -3,7 +3,8 @@
 //! Every sweep cell — one (workload, policy, configuration) simulation
 //! — is addressed by a stable 128-bit hash of its complete inputs:
 //! resolved benchmark names, the policy triple, `SimConfig`,
-//! `DtmConfig`, the trace-generation parameters, and the crate version.
+//! `DtmConfig`, `FaultConfig`, the trace-generation parameters, and the
+//! crate version.
 //! Re-running any experiment skips already-computed cells, and cells
 //! are shared *across* experiments: the Table 5 grid is a subset of the
 //! Table 8 grid, so a Table 8 run leaves Table 5 fully warm.
@@ -46,26 +47,35 @@ impl std::fmt::Display for CellKey {
     }
 }
 
-fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(seed, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// FNV-1a-128 over everything written to it, so a cell's canonical
+/// text is hashed as it is formatted and never materialized.
+struct Fnv1a128(u128);
+
+impl Fnv1a128 {
+    const OFFSET_BASIS: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 }
 
-/// Computes the content address of one cell.
+impl std::fmt::Write for Fnv1a128 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ b as u128).wrapping_mul(Self::PRIME);
+        }
+        Ok(())
+    }
+}
+
+/// Computes the content address of one cell: FNV-1a-128 of the derived
+/// `Debug` text of every input — resolved benchmark descriptions, the
+/// policy triple, `SimConfig`, `DtmConfig`, the trace-generation
+/// parameters, `FaultConfig` — and the crate version.
 ///
-/// The canonical representation leans on `Debug` formatting of the
-/// config structs — the same convention `TraceLibrary::fingerprint`
-/// uses — so *any* field change (threshold, core count, migration
-/// interval, sensor noise, trace length, …) changes the key. The crate
-/// version is folded in so result-affecting code changes can be
-/// invalidated wholesale by a version bump.
-///
-/// The robustness configuration is folded in **only when it is not
-/// ideal**: the ideal `FaultConfig` is behaviorally a no-op, and
-/// omitting it keeps every fault-free cell's address byte-identical to
-/// what it was before the fault subsystem existed — a warm cache stays
-/// warm.
+/// Derived `Debug` lists every field by construction, so *any* field
+/// change (threshold, PI gains, gain schedule, core count, sensor
+/// noise, fault scenario, watchdog, trace length, …) changes the key,
+/// and a field added to any of these structs joins the key
+/// automatically. The version is folded in so result-affecting code
+/// changes can be invalidated wholesale by a version bump.
 pub fn cell_key(
     workload: &Workload,
     policy: PolicySpec,
@@ -75,19 +85,17 @@ pub fn cell_key(
     tracegen: &TraceGenConfig,
     version: &str,
 ) -> CellKey {
+    use std::fmt::Write;
     // Resolve to full benchmark descriptions: a change to a benchmark's
     // profile in the catalog rekeys every cell that replays it.
     let benches = workload.resolve();
-    let mut repr =
-        format!("v={version}|w={benches:?}|p={policy:?}|sim={sim:?}|dtm={dtm:?}|tg={tracegen:?}");
-    if !faults.is_ideal() {
-        repr.push_str(&format!("|flt={faults:?}"));
-    }
-    let lo = fnv1a64(0xcbf2_9ce4_8422_2325, repr.as_bytes());
-    // Independent second lane: different offset basis, reversed input.
-    let rev: Vec<u8> = repr.bytes().rev().collect();
-    let hi = fnv1a64(0x6c62_272e_07bb_0142, &rev);
-    CellKey(((hi as u128) << 64) | lo as u128)
+    let mut h = Fnv1a128(Fnv1a128::OFFSET_BASIS);
+    write!(
+        h,
+        "v={version}|w={benches:?}|p={policy:?}|sim={sim:?}|dtm={dtm:?}|tg={tracegen:?}|flt={faults:?}"
+    )
+    .expect("hashing never fails");
+    CellKey(h.0)
 }
 
 /// A point-in-time snapshot of one cache's activity counters.
@@ -299,6 +307,19 @@ mod tests {
     }
 
     #[test]
+    fn fnv1a128_matches_reference_vectors() {
+        use std::fmt::Write;
+        let hash = |s: &str| {
+            let mut h = Fnv1a128(Fnv1a128::OFFSET_BASIS);
+            h.write_str(s).unwrap();
+            h.0
+        };
+        assert_eq!(hash(""), Fnv1a128::OFFSET_BASIS);
+        assert_eq!(hash("a"), 0xd228_cb69_6f1a_8caf_7891_2b70_4e4a_8964);
+        assert_eq!(hash("foobar"), 0x343e_1662_793c_64bf_6f0d_3597_ba44_6f18);
+    }
+
+    #[test]
     fn keys_are_stable_across_computations() {
         let sim = SimConfig::default();
         let dtm = DtmConfig::default();
@@ -315,31 +336,12 @@ mod tests {
 
     #[test]
     fn any_field_change_changes_the_key() {
+        // Config fields are covered field by field in
+        // tests/cache_key_pinned.rs; these are the cell's other axes.
         let sim = SimConfig::default();
         let dtm = DtmConfig::default();
         let base = key_for(&sim, &dtm);
 
-        let mut d2 = dtm;
-        d2.threshold = 100.0;
-        assert_ne!(base, key_for(&sim, &d2), "threshold change must rekey");
-
-        let mut d3 = dtm;
-        d3.migration_interval *= 2.0;
-        assert_ne!(base, key_for(&sim, &d3), "migration interval must rekey");
-
-        let mut s2 = sim.clone();
-        s2.cores = 8;
-        assert_ne!(base, key_for(&s2, &dtm), "core count must rekey");
-
-        let mut s3 = sim.clone();
-        s3.duration = 0.25;
-        assert_ne!(base, key_for(&s3, &dtm), "duration must rekey");
-
-        let mut s4 = sim.clone();
-        s4.seed ^= 1;
-        assert_ne!(base, key_for(&s4, &dtm), "sensor seed must rekey");
-
-        // Policy, workload, trace config, and version axes.
         let w = standard_workloads();
         let k_other_policy = cell_key(
             &w[0],
@@ -381,31 +383,6 @@ mod tests {
             "0.2.0",
         );
         assert_ne!(base, k_other_version);
-    }
-
-    #[test]
-    fn ideal_faults_do_not_perturb_pre_fault_keys() {
-        // Re-derive the key from the pre-fault-subsystem canonical
-        // representation (no `|flt=` segment): the ideal FaultConfig
-        // must hash to exactly this, or every existing cache entry is
-        // silently orphaned.
-        let sim = SimConfig::default();
-        let dtm = DtmConfig::default();
-        let w = &standard_workloads()[0];
-        let policy = PolicySpec::baseline();
-        let tracegen = TraceGenConfig::default();
-        let benches = w.resolve();
-        let repr =
-            format!("v=0.1.0|w={benches:?}|p={policy:?}|sim={sim:?}|dtm={dtm:?}|tg={tracegen:?}");
-        let lo = fnv1a64(0xcbf2_9ce4_8422_2325, repr.as_bytes());
-        let rev: Vec<u8> = repr.bytes().rev().collect();
-        let hi = fnv1a64(0x6c62_272e_07bb_0142, &rev);
-        let legacy = CellKey(((hi as u128) << 64) | lo as u128);
-        assert_eq!(
-            key_for(&sim, &dtm),
-            legacy,
-            "ideal FaultConfig changed fault-free cell addresses"
-        );
     }
 
     #[test]

@@ -70,9 +70,8 @@ pub fn result_to_json(r: &RunResult) -> Json {
             ),
         ),
     ];
-    // Optional fields are appended only when present, mirroring the
-    // robustness discipline: entries written by older builds simply
-    // lack them and decode to `None`.
+    // Optional fields are appended only when present: `None` means an
+    // unprofiled run (`steady`, `phases`) or fixed gains (`gain_stats`).
     if let Some(s) = &r.steady {
         fields.push((
             "steady".into(),
@@ -139,24 +138,17 @@ pub fn result_from_json(v: &Json) -> Result<RunResult, JsonError> {
             })
         })
         .collect::<Result<Vec<_>, JsonError>>()?;
-    // Entries written before the fault subsystem existed have no
-    // robustness object; they decode to the all-zero default so the
-    // whole pre-existing cache stays loadable (and fault-free cells are
-    // all-zero anyway).
-    let robustness = match v.field("robustness") {
-        Ok(rv) => Robustness {
-            violation_time: rv.field("violation_time")?.as_f64()?,
-            peak_overshoot: rv.field("peak_overshoot")?.as_f64()?,
-            false_throttle_time: rv.field("false_throttle_time")?.as_f64()?,
-            fallback_time: rv.field("fallback_time")?.as_f64()?,
-            fallback_entries: rv.field("fallback_entries")?.as_u64()?,
-            fallback_exits: rv.field("fallback_exits")?.as_u64()?,
-            watchdog_flags: rv.field("watchdog_flags")?.as_u64()?,
-        },
-        Err(_) => Robustness::default(),
+    let rv = v.field("robustness")?;
+    let robustness = Robustness {
+        violation_time: rv.field("violation_time")?.as_f64()?,
+        peak_overshoot: rv.field("peak_overshoot")?.as_f64()?,
+        false_throttle_time: rv.field("false_throttle_time")?.as_f64()?,
+        fallback_time: rv.field("fallback_time")?.as_f64()?,
+        fallback_entries: rv.field("fallback_entries")?.as_u64()?,
+        fallback_exits: rv.field("fallback_exits")?.as_u64()?,
+        watchdog_flags: rv.field("watchdog_flags")?.as_u64()?,
     };
-    // Same back-compat discipline for the observability-era fields:
-    // absent means the entry predates them (or the run was unprofiled).
+    // Absent optional objects decode to `None` (see `result_to_json`).
     let steady = match v.field("steady") {
         Ok(sv) => Some(SteadyTempSummary {
             mean: sv.field("mean")?.as_f64()?,
@@ -182,9 +174,6 @@ pub fn result_from_json(v: &Json) -> Result<RunResult, JsonError> {
         }),
         Err(_) => None,
     };
-    // Entries written before the adaptive gain schedule existed (PR 8
-    // and earlier) have no gain_stats object — as do fixed-gain runs on
-    // current builds; both decode to `None`.
     let gain_stats = match v.field("gain_stats") {
         Ok(gv) => Some(GainStats {
             kp_min: gv.field("kp_min")?.as_f64()?,
@@ -308,24 +297,18 @@ mod tests {
     }
 
     #[test]
-    fn pre_fault_entries_decode_with_default_robustness() {
-        // An entry written before the fault subsystem existed: strip the
-        // robustness object and check the decode still succeeds with the
-        // all-zero default (old cache entries must stay warm).
+    fn entries_without_robustness_are_rejected() {
         let mut encoded = result_to_json(&sample());
         if let Json::Obj(fields) = &mut encoded {
             fields.retain(|(k, _)| k != "robustness");
         }
-        let back = result_from_json(&Json::parse(&encoded.emit()).unwrap()).unwrap();
-        assert_eq!(back.robustness, Robustness::default());
-        assert_eq!(back.duration, sample().duration);
-        assert_eq!(back.threads.len(), 2);
+        assert!(result_from_json(&Json::parse(&encoded.emit()).unwrap()).is_err());
     }
 
     #[test]
     fn pre_observability_entries_decode_without_steady_or_phases() {
-        // An entry written before the observability subsystem existed:
-        // strip both new objects and check the decode yields `None`s.
+        // An unprofiled run's entry: no steady/phases objects, which
+        // decode to `None`s.
         let mut encoded = result_to_json(&sample());
         if let Json::Obj(fields) = &mut encoded {
             fields.retain(|(k, _)| k != "steady" && k != "phases");
@@ -354,8 +337,8 @@ mod tests {
 
     #[test]
     fn pre_adaptive_entries_decode_without_gain_stats() {
-        // An entry written before the gain schedule existed (PR 8 era):
-        // strip the object and check the decode yields `None`.
+        // A fixed-gain run's entry: no gain_stats object, which decodes
+        // to `None`.
         let mut encoded = result_to_json(&sample());
         if let Json::Obj(fields) = &mut encoded {
             fields.retain(|(k, _)| k != "gain_stats");

@@ -23,9 +23,8 @@ pub struct ConfigVariant {
     pub sim: SimConfig,
     /// DTM configuration for this variant.
     pub dtm: DtmConfig,
-    /// Robustness configuration (fault scenario plus watchdog); the
-    /// ideal default contributes nothing to the cell's content address,
-    /// so fault-free variants keep their pre-fault cache entries.
+    /// Robustness configuration (fault scenario plus watchdog), part of
+    /// the cell's content address like the two configs above.
     pub faults: FaultConfig,
 }
 

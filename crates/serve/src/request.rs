@@ -594,8 +594,7 @@ mod tests {
         assert!((r.variant.dtm.pi_kp - 0.02).abs() < 1e-15);
         assert!((r.variant.dtm.dvfs_setpoint_margin - 1.2).abs() < 1e-15);
         assert!((r.variant.dtm.migration_interval - 0.05).abs() < 1e-15);
-        // Untouched knobs keep paper defaults — and with them, the
-        // legacy cache-key repr fields.
+        // Untouched knobs keep their paper defaults.
         assert!((r.variant.dtm.pi_ki - dtm_core::PAPER_PI_KI).abs() < 1e-12);
         r.variant.dtm.validate();
     }

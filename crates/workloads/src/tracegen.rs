@@ -71,11 +71,16 @@ pub fn generate_trace(bench: &Benchmark, cfg: &TraceGenConfig) -> PowerTrace {
     core.run_cycles(cfg.warmup_cycles.max(1));
 
     let mut samples = Vec::with_capacity(samples_target);
+    // The core starts on the base profile; switch only on a transition.
+    let mut in_base = true;
     for i in 0..samples_target {
         if let Some(phase) = &bench.phase {
             let pos = i % phase.period_samples as usize;
-            let in_base = (pos as f64) < phase.base_duty * phase.period_samples as f64;
-            core.set_profile(if in_base { bench.profile } else { phase.alt });
+            let base_now = (pos as f64) < phase.base_duty * phase.period_samples as f64;
+            if base_now != in_base {
+                in_base = base_now;
+                core.set_profile(if in_base { bench.profile } else { phase.alt });
+            }
         }
         let activity = core.run_sample(cfg.sampling);
         samples.push(cfg.power.convert(&activity));

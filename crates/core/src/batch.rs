@@ -103,6 +103,10 @@ impl LockstepBatch {
         let mut active: Vec<usize> = (0..self.sims.len())
             .filter(|&i| self.sims[i].lane_active())
             .collect();
+        // The lane list borrows the sims afresh every step; its buffer
+        // is carried across steps (emptied and re-typed to the next
+        // step's borrow) so stepping allocates nothing.
+        let mut lane_buf: Vec<Lane<'_>> = Vec::with_capacity(active.len());
         while !active.is_empty() {
             for &i in &active {
                 let mut clk = self.sims[i].begin_clock();
@@ -112,8 +116,7 @@ impl LockstepBatch {
             // ---- Batched thermal phase over the active lanes ----
             {
                 let mut want = active.iter().copied().peekable();
-                let mut lanes: Vec<(&mut TransientSolver, &[f64])> =
-                    Vec::with_capacity(active.len());
+                let mut lanes = recycle(std::mem::take(&mut lane_buf));
                 let mut dt = 0.0;
                 for (i, sim) in self.sims.iter_mut().enumerate() {
                     if want.peek() == Some(&i) {
@@ -123,10 +126,11 @@ impl LockstepBatch {
                         lanes.push((solver, power));
                     }
                 }
-                if !step_lumped_batch(&mut lanes, dt, &mut self.ws)? {
+                let batched = step_lumped_batch(&mut lanes, dt, &mut self.ws)?;
+                lane_buf = recycle(lanes);
+                if !batched {
                     // Not batchable (fallback lane, mixed configs, or a
                     // single survivor): scalar thermal steps instead.
-                    drop(lanes);
                     for &i in &active {
                         let (solver, power, lane_dt) = self.sims[i].thermal_lane();
                         solver.step(power, lane_dt)?;
@@ -144,6 +148,19 @@ impl LockstepBatch {
         }
         Ok(self.sims.iter().map(|s| s.result()).collect())
     }
+}
+
+/// One lane of a batched thermal step: a solver and its block power.
+type Lane<'a> = (&'a mut TransientSolver, &'a [f64]);
+
+/// Empties `lanes` and returns its buffer typed for another borrow. Both
+/// element types have one layout, so std's in-place `collect` keeps the
+/// allocation (no element is ever mapped: the vector is empty). std does
+/// this without promising it; `tests/tests/lockstep_alloc.rs` fails if
+/// it ever stops.
+fn recycle<'b>(mut lanes: Vec<Lane<'_>>) -> Vec<Lane<'b>> {
+    lanes.clear();
+    lanes.into_iter().map(|_| unreachable!()).collect()
 }
 
 impl std::fmt::Debug for LockstepBatch {

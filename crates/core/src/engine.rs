@@ -10,6 +10,7 @@
 //! power, while a stalled core dissipates only leakage.
 
 use crate::config::{DtmConfig, SimConfig};
+use crate::init::InitFixpoint;
 use crate::metrics::{
     PhaseNs, PhaseProfile, Robustness, RunResult, SteadyTempSummary, ThreadStats,
 };
@@ -210,6 +211,11 @@ pub struct ThermalTimingSim {
 
     telemetry: Option<Telemetry>,
     power_buf: Vec<f64>,
+    /// Sensor readings in `SensorBank` order (`[int_rf, fp_rf]` per
+    /// core), reused every step.
+    sensor_buf: Vec<f64>,
+    /// The migration policy's proposal buffer, reused every decision.
+    plan_buf: Vec<usize>,
     /// Per-core effective scales computed by the pre-thermal phase and
     /// consumed by the post-thermal one (accounting, migration,
     /// telemetry); a field so the step can be split around a batched
@@ -347,6 +353,14 @@ impl ThermalTimingSim {
 
         let cores = cfg.cores;
         let n_threads = traces.len();
+        // Reserve every steady sample up front so stepping never grows
+        // the vector (bounded for very long or unbounded durations).
+        let steps = (cfg.duration / dt).ceil();
+        let steady_samples = if steps.is_finite() && steps >= 0.0 {
+            (steps as usize / STEADY_SAMPLE_EVERY as usize + 2).min(1 << 14)
+        } else {
+            0
+        };
         let mut sim = ThermalTimingSim {
             cfg,
             dtm,
@@ -393,9 +407,11 @@ impl ThermalTimingSim {
             energy: 0.0,
             telemetry: None,
             power_buf: Vec::new(),
+            sensor_buf: vec![0.0; cores * 2],
+            plan_buf: Vec::with_capacity(cores),
             scales_now: Vec::new(),
             prof: None,
-            steady_hot: Vec::new(),
+            steady_hot: Vec::with_capacity(steady_samples),
             steady_counter: 0,
         };
         sim.initialize_temperatures()?;
@@ -539,16 +555,17 @@ impl ThermalTimingSim {
         &self.sensor_blocks
     }
 
-    /// Package initialization: the heat sink's time constant (~1 min)
-    /// dwarfs the 0.5 s runs, so the package state is effectively an
-    /// initial condition. We start at the *throttled equilibrium*: the
-    /// steady state of the largest fraction of full-speed mean power
-    /// whose hottest sensor stays `init_hotspot_margin` °C below the
-    /// threshold (capped at full power for workloads that never
-    /// overheat).
+    /// Starts the package at its throttled equilibrium (see
+    /// [`crate::init`]).
     fn initialize_temperatures(&mut self) -> Result<(), SimError> {
-        let nb = self.floorplan.len();
-        let mut p_full = vec![0.0; nb];
+        let p = self.init_fixpoint().power()?;
+        self.thermal.init_steady(&p)?;
+        Ok(())
+    }
+
+    /// Everything the initial-temperature search reads for this sim.
+    pub(crate) fn init_fixpoint(&self) -> InitFixpoint<'_> {
+        let mut p_full = vec![0.0; self.floorplan.len()];
         for core in 0..self.cfg.cores {
             let trace = &self.traces[self.assignment[core]];
             for (u, &kind) in UnitKind::per_core().iter().enumerate() {
@@ -556,53 +573,14 @@ impl ThermalTimingSim {
             }
         }
         p_full[self.l2_block] += self.l2_idle;
-
-        // Steady temperatures at a power fraction, with the leakage
-        // feedback converged by fixed-point iteration.
-        let steady = |alpha: f64| -> Result<(Vec<f64>, Vec<f64>), SimError> {
-            let mut temps = vec![self.cfg.leakage.t_ref; self.thermal.model().n_nodes()];
-            let mut p: Vec<f64> = Vec::new();
-            for _ in 0..20 {
-                p = p_full.iter().map(|w| w * alpha).collect();
-                self.leakage.add_power(&temps[..nb], &mut p);
-                let solved = self.thermal.model().steady_state(&p)?;
-                // Damped update, clamped: keeps the iteration finite even
-                // when the chip is past the thermal-runaway point (the
-                // binary search then backs the power fraction off).
-                for (t, s) in temps.iter_mut().zip(&solved) {
-                    *t = (0.5 * *t + 0.5 * s).min(250.0);
-                }
-            }
-            Ok((temps, p))
-        };
-        let fast_r = self.thermal.model().fast_resistance().to_vec();
-        let hottest_sensor = |temps: &[f64], power: &[f64]| -> f64 {
-            self.sensor_blocks
-                .iter()
-                .flat_map(|pair| pair.iter())
-                .map(|&b| temps[b] + fast_r[b] * power[b])
-                .fold(f64::NEG_INFINITY, f64::max)
-        };
-
-        let target = self.dtm.threshold - self.cfg.init_hotspot_margin;
-        let mut alpha = 1.0;
-        let full = steady(1.0)?;
-        if target.is_finite() && hottest_sensor(&full.0, &full.1) > target {
-            let (mut lo, mut hi) = (0.02, 1.0);
-            for _ in 0..20 {
-                let mid = 0.5 * (lo + hi);
-                let (temps, p) = steady(mid)?;
-                if hottest_sensor(&temps, &p) > target {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            alpha = lo;
+        InitFixpoint {
+            p_full,
+            target: self.dtm.threshold - self.cfg.init_hotspot_margin,
+            t_start: self.cfg.leakage.t_ref,
+            leakage: &self.leakage,
+            model: self.thermal.model(),
+            sensor_blocks: &self.sensor_blocks,
         }
-        let (_, p) = steady(alpha)?;
-        self.thermal.init_steady(&p)?;
-        Ok(())
     }
 
     /// A core's architectural frequency ceiling (1.0 unless the chip is
@@ -644,14 +622,13 @@ impl ThermalTimingSim {
     fn read_sensors(&mut self, clk: &mut Option<StepClock>) {
         // Sensors sit at the within-block hotspots, so they see the
         // lumped node temperature plus the sub-block fast-mode excess.
-        let temps = self.thermal.hot_block_temps();
-        let mut flat = self.sensors.read_all(&temps);
-        for core in 0..self.cfg.cores {
-            self.true_sensor_temps[core] = [
-                temps[self.sensor_blocks[core][0]],
-                temps[self.sensor_blocks[core][1]],
-            ];
+        let thermal = &self.thermal;
+        for (truth, blocks) in self.true_sensor_temps.iter_mut().zip(&self.sensor_blocks) {
+            *truth = blocks.map(|b| thermal.hot_block_temp(b));
         }
+        let mut flat = std::mem::take(&mut self.sensor_buf);
+        self.sensors
+            .read_into(|b| thermal.hot_block_temp(b), &mut flat);
         if let Some(faults) = &mut self.faults {
             for core in 0..self.cfg.cores {
                 for (k, slot) in flat[core * 2..core * 2 + 2].iter_mut().enumerate() {
@@ -667,6 +644,7 @@ impl ThermalTimingSim {
         for core in 0..self.cfg.cores {
             self.sensor_temps[core] = [flat[core * 2], flat[core * 2 + 1]];
         }
+        self.sensor_buf = flat;
     }
 
     /// Advances the simulation by one power sample (27.78 µs).
@@ -728,9 +706,7 @@ impl ThermalTimingSim {
             let s = self.effective_scale(core);
             *scale_slot = s;
             let thread = self.assignment[core];
-            let sample = self.traces[thread]
-                .sample(self.cursor[thread] as u64)
-                .clone();
+            let sample = self.traces[thread].sample(self.cursor[thread] as u64);
             if s > 0.0 {
                 let s3 = s * s * s;
                 for u in 0..N_CORE_UNITS {
@@ -752,9 +728,10 @@ impl ThermalTimingSim {
         self.power_buf[self.l2_block] += l2_power;
         self.scales_now = scales_now;
         self.mark(PH_MICROARCH, clk);
-        let temps_now = self.thermal.block_temps().to_vec();
-        self.leakage.add_power(&temps_now, &mut self.power_buf);
-        self.energy += self.power_buf.iter().sum::<f64>() * dt;
+        let total = self
+            .leakage
+            .add_power(self.thermal.block_temps(), &mut self.power_buf);
+        self.energy += total * dt;
         self.mark(PH_POWER, clk);
     }
 
@@ -1022,10 +999,12 @@ impl ThermalTimingSim {
         if hottest < self.dtm.threshold - 4.0 {
             return;
         }
-        let plan = self.migration.decide(&obs);
+        let mut plan = std::mem::take(&mut self.plan_buf);
+        plan.clear();
+        plan.extend_from_slice(&self.assignment);
+        let propose = self.migration.decide(&obs, &mut plan);
         self.tripped_since_decision.fill(false);
-        if let Some(plan) = plan {
-            debug_assert_eq!(plan.len(), self.cfg.cores);
+        if propose {
             let mut moved = 0;
             let trip = self.dtm.stopgo_trip();
             for (core, &target) in plan.iter().enumerate() {
@@ -1046,11 +1025,12 @@ impl ThermalTimingSim {
                 }
             }
             if moved > 0 {
-                self.assignment = plan;
+                std::mem::swap(&mut self.assignment, &mut plan);
                 self.migrations += moved as u64;
                 self.last_migration = self.time;
             }
         }
+        self.plan_buf = plan;
     }
 
     /// Runs until `cfg.duration` and returns the metrics.

@@ -54,6 +54,7 @@
 mod batch;
 mod config;
 mod engine;
+mod init;
 mod metrics;
 mod migration;
 mod policy;

@@ -92,8 +92,11 @@ impl OsObservation<'_> {
 /// proposes a new core→thread assignment.
 pub trait MigrationPolicy: std::fmt::Debug + Send {
     /// Called when the OS is willing to migrate (the engine enforces the
-    /// 10 ms rate limit). Returns a proposed assignment or `None`.
-    fn decide(&mut self, obs: &OsObservation<'_>) -> Option<Vec<usize>>;
+    /// 10 ms rate limit). `plan` holds one slot per core and enters as a
+    /// copy of the current assignment; a policy that proposes a new
+    /// core → thread assignment writes it there and returns `true`.
+    /// Writing into the caller's buffer keeps decisions allocation-free.
+    fn decide(&mut self, obs: &OsObservation<'_>, plan: &mut [usize]) -> bool;
 
     /// Called every OS tick regardless of migration eligibility, letting
     /// policies accumulate telemetry.
@@ -105,54 +108,69 @@ pub trait MigrationPolicy: std::fmt::Debug + Send {
 pub struct NoMigration;
 
 impl MigrationPolicy for NoMigration {
-    fn decide(&mut self, _obs: &OsObservation<'_>) -> Option<Vec<usize>> {
-        None
+    fn decide(&mut self, _obs: &OsObservation<'_>, _plan: &mut [usize]) -> bool {
+        false
     }
 }
 
 /// Figure 4's greedy matching: cores in order of decreasing hotspot
 /// imbalance each claim the remaining thread with the least intensity
-/// for their critical hotspot. `intensity(thread, core, unit)` supplies
-/// the estimate.
+/// for their critical hotspot.
 ///
 /// The incumbent thread of each core receives a 20 % intensity discount:
 /// "in some cases, the best candidate for a thread to migrate will be
 /// itself, in which case a migration is not done" — the discount keeps
 /// near-tied estimates from churning the whole assignment every
 /// decision interval.
-fn greedy_assignment<F>(obs: &OsObservation<'_>, intensity: F) -> Vec<usize>
-where
-    F: Fn(usize, usize, usize) -> f64,
-{
-    let n = obs.assignment.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    // Tripped cores are the most thermally troubled regardless of their
-    // (mid-stall, cooled) sensor readings; they sort first.
-    let key = |c: usize| obs.imbalance(c) + if obs.tripped[c] { 1e3 } else { 0.0 };
-    order.sort_by(|&a, &b| key(b).total_cmp(&key(a)));
+#[derive(Debug, Clone, Default)]
+struct Greedy {
+    /// Scratch reused across decisions.
+    order: Vec<usize>,
+    remaining: Vec<usize>,
+}
 
-    let mut remaining: Vec<usize> = obs.assignment.to_vec();
-    let mut out = vec![usize::MAX; n];
-    for &core in &order {
-        let unit = obs.critical_unit(core);
-        let incumbent = obs.assignment[core];
-        let score = |t: usize| {
-            let raw = intensity(t, core, unit);
-            if t == incumbent {
-                raw - 0.2 * raw.abs()
-            } else {
-                raw
-            }
-        };
-        let (pos, &thread) = remaining
-            .iter()
-            .enumerate()
-            .min_by(|(_, &t1), (_, &t2)| score(t1).total_cmp(&score(t2)))
-            .expect("one thread per core");
-        out[core] = thread;
-        remaining.swap_remove(pos);
+impl Greedy {
+    /// Writes the matching into `out` (one slot per core) and returns
+    /// whether it differs from the current assignment.
+    /// `intensity(thread, core, unit)` supplies the estimate.
+    fn assign<F>(&mut self, obs: &OsObservation<'_>, intensity: F, out: &mut [usize]) -> bool
+    where
+        F: Fn(usize, usize, usize) -> f64,
+    {
+        let n = obs.assignment.len();
+        let order = &mut self.order;
+        order.clear();
+        order.extend(0..n);
+        // Tripped cores are the most thermally troubled regardless of
+        // their (mid-stall, cooled) sensor readings; they sort first.
+        // (Stable sort; below 20 elements it sorts in place.)
+        let key = |c: usize| obs.imbalance(c) + if obs.tripped[c] { 1e3 } else { 0.0 };
+        order.sort_by(|&a, &b| key(b).total_cmp(&key(a)));
+
+        let remaining = &mut self.remaining;
+        remaining.clear();
+        remaining.extend_from_slice(obs.assignment);
+        for &core in order.iter() {
+            let unit = obs.critical_unit(core);
+            let incumbent = obs.assignment[core];
+            let score = |t: usize| {
+                let raw = intensity(t, core, unit);
+                if t == incumbent {
+                    raw - 0.2 * raw.abs()
+                } else {
+                    raw
+                }
+            };
+            let (pos, &thread) = remaining
+                .iter()
+                .enumerate()
+                .min_by(|(_, &t1), (_, &t2)| score(t1).total_cmp(&score(t2)))
+                .expect("one thread per core");
+            out[core] = thread;
+            remaining.swap_remove(pos);
+        }
+        out != obs.assignment
     }
-    out
 }
 
 /// Tracks each core's critical hotspot across decisions, implementing
@@ -166,22 +184,21 @@ struct CriticalTracker {
 
 impl CriticalTracker {
     /// Returns whether a decision should fire now, updating the
-    /// remembered critical hotspots. The first call always fires.
+    /// remembered critical hotspots in place. The first call always
+    /// fires.
     fn should_fire(&mut self, obs: &OsObservation<'_>) -> bool {
-        let current: Vec<usize> = (0..obs.assignment.len())
-            .map(|c| obs.critical_unit(c))
-            .collect();
-        if self.last.is_empty() {
-            self.last = current;
-            return true;
+        let n = obs.assignment.len();
+        let first = self.last.is_empty();
+        let mut changed = 0;
+        for (c, last) in self.last.iter_mut().enumerate().take(n) {
+            let now = obs.critical_unit(c);
+            changed += usize::from(now != *last);
+            *last = now;
         }
-        let changed = current
-            .iter()
-            .zip(&self.last)
-            .filter(|(a, b)| a != b)
-            .count();
-        self.last = current;
-        changed >= 2
+        self.last.truncate(n);
+        let known = self.last.len();
+        self.last.extend((known..n).map(|c| obs.critical_unit(c)));
+        first || changed >= 2
     }
 }
 
@@ -189,6 +206,7 @@ impl CriticalTracker {
 #[derive(Debug, Clone, Default)]
 pub struct CounterMigration {
     tracker: CriticalTracker,
+    greedy: Greedy,
 }
 
 impl CounterMigration {
@@ -199,17 +217,11 @@ impl CounterMigration {
 }
 
 impl MigrationPolicy for CounterMigration {
-    fn decide(&mut self, obs: &OsObservation<'_>) -> Option<Vec<usize>> {
+    fn decide(&mut self, obs: &OsObservation<'_>, plan: &mut [usize]) -> bool {
         let fire = self.tracker.should_fire(obs) || obs.tripped.iter().any(|&t| t);
-        if !fire {
-            return None;
-        }
-        let proposal = greedy_assignment(obs, |t, _core, unit| obs.counters[t].intensity(unit));
-        if proposal == obs.assignment {
-            None
-        } else {
-            Some(proposal)
-        }
+        fire && self
+            .greedy
+            .assign(obs, |t, _core, unit| obs.counters[t].intensity(unit), plan)
     }
 }
 
@@ -232,9 +244,17 @@ impl RotationMigration {
 }
 
 impl MigrationPolicy for RotationMigration {
-    fn decide(&mut self, obs: &OsObservation<'_>) -> Option<Vec<usize>> {
-        let n = obs.assignment.len();
-        Some((0..n).map(|c| obs.assignment[(c + 1) % n]).collect())
+    fn decide(&mut self, obs: &OsObservation<'_>, plan: &mut [usize]) -> bool {
+        rotate(obs.assignment, plan);
+        true
+    }
+}
+
+/// Shifts every thread to the next core.
+fn rotate(assignment: &[usize], out: &mut [usize]) {
+    let n = assignment.len();
+    for (c, slot) in out.iter_mut().enumerate() {
+        *slot = assignment[(c + 1) % n];
     }
 }
 
@@ -270,6 +290,10 @@ pub struct SensorMigration {
     last_time: f64,
     min_samples_per_pair: u32,
     tracker: CriticalTracker,
+    greedy: Greedy,
+    /// Fitted `(thread, core)` effects per hotspot unit, reused across
+    /// decisions.
+    effects: [(Vec<f64>, Vec<f64>); 2],
 }
 
 impl SensorMigration {
@@ -283,6 +307,8 @@ impl SensorMigration {
             last_time: f64::NAN,
             min_samples_per_pair: min_samples_per_pair.max(1),
             tracker: CriticalTracker::default(),
+            greedy: Greedy::default(),
+            effects: Default::default(),
         }
     }
 
@@ -312,6 +338,10 @@ impl SensorMigration {
 impl MigrationPolicy for SensorMigration {
     fn observe(&mut self, obs: &OsObservation<'_>) {
         let n_cores = obs.assignment.len();
+        // Every (thread, core) pair fits from the first tick on, so
+        // profiling never grows the table mid-run.
+        self.table
+            .reserve((obs.counters.len() * n_cores).saturating_sub(self.table.len()));
         if self.last_temps.len() == n_cores && self.last_time.is_finite() {
             let dt = obs.time - self.last_time;
             if dt > 0.0 {
@@ -343,38 +373,40 @@ impl MigrationPolicy for SensorMigration {
                 }
             }
         }
-        self.last_temps = obs.sensor_temps.to_vec();
-        self.last_assignment = obs.assignment.to_vec();
+        self.last_temps.clear();
+        self.last_temps.extend_from_slice(obs.sensor_temps);
+        self.last_assignment.clear();
+        self.last_assignment.extend_from_slice(obs.assignment);
         self.last_time = obs.time;
     }
 
-    fn decide(&mut self, obs: &OsObservation<'_>) -> Option<Vec<usize>> {
+    fn decide(&mut self, obs: &OsObservation<'_>, plan: &mut [usize]) -> bool {
         let n_cores = obs.assignment.len();
         let n_threads = obs.counters.len();
         let fire = self.tracker.should_fire(obs) || obs.tripped.iter().any(|&t| t);
         if !self.coverage_ok(n_threads, n_cores) {
             // Insufficient profiling data: rotate assignments to fill the
             // thread-core thermal table (Figure 6's "profile more" arm).
-            let rotated = (0..n_cores)
-                .map(|c| obs.assignment[(c + 1) % n_cores])
-                .collect();
-            return Some(rotated);
+            rotate(obs.assignment, plan);
+            return true;
         }
         if !fire {
-            return None;
+            return false;
         }
         // Coverage is sufficient: fit the additive model and estimate
         // every (thread, core, unit) intensity.
         let min_n = self.min_samples_per_pair;
-        let fit = |unit: usize| -> (Vec<f64>, Vec<f64>) {
-            let mut thread_eff = vec![0.0f64; n_threads];
-            let mut core_eff = vec![0.0f64; n_cores];
+        let table = &self.table;
+        let fit = |unit: usize, (thread_eff, core_eff): &mut (Vec<f64>, Vec<f64>)| {
+            thread_eff.clear();
+            thread_eff.resize(n_threads, 0.0);
+            core_eff.clear();
+            core_eff.resize(n_cores, 0.0);
             for _ in 0..4 {
                 for (t, te) in thread_eff.iter_mut().enumerate() {
                     let (mut acc, mut n) = (0.0, 0);
                     for (c, ce) in core_eff.iter().enumerate() {
-                        if let Some(v) = self
-                            .table
+                        if let Some(v) = table
                             .get(&(t, c))
                             .filter(|s| s.n >= min_n)
                             .and_then(|s| s.mean(unit))
@@ -390,8 +422,7 @@ impl MigrationPolicy for SensorMigration {
                 for (c, ce) in core_eff.iter_mut().enumerate() {
                     let (mut acc, mut n) = (0.0, 0);
                     for (t, te) in thread_eff.iter().enumerate() {
-                        if let Some(v) = self
-                            .table
+                        if let Some(v) = table
                             .get(&(t, c))
                             .filter(|s| s.n >= min_n)
                             .and_then(|s| s.mean(unit))
@@ -405,19 +436,19 @@ impl MigrationPolicy for SensorMigration {
                     }
                 }
             }
-            (thread_eff, core_eff)
         };
-        let (int_t, int_c) = fit(HOTSPOT_INT);
-        let (fp_t, fp_c) = fit(HOTSPOT_FP);
-        let proposal = greedy_assignment(obs, |t, c, unit| match unit {
-            HOTSPOT_INT => int_t[t] + int_c[c],
-            _ => fp_t[t] + fp_c[c],
-        });
-        if proposal == obs.assignment {
-            None
-        } else {
-            Some(proposal)
-        }
+        let [int_fit, fp_fit] = &mut self.effects;
+        fit(HOTSPOT_INT, int_fit);
+        fit(HOTSPOT_FP, fp_fit);
+        let ((int_t, int_c), (fp_t, fp_c)) = (&*int_fit, &*fp_fit);
+        self.greedy.assign(
+            obs,
+            |t, c, unit| match unit {
+                HOTSPOT_INT => int_t[t] + int_c[c],
+                _ => fp_t[t] + fp_c[c],
+            },
+            plan,
+        )
     }
 }
 
@@ -440,6 +471,12 @@ mod tests {
             tripped: &[false; 4][..assignment.len().min(4)],
             trip_unit: &[0; 4][..assignment.len().min(4)],
         }
+    }
+
+    /// One decision, returning the proposed assignment if there is one.
+    fn decide(pol: &mut dyn MigrationPolicy, o: &OsObservation<'_>) -> Option<Vec<usize>> {
+        let mut plan = o.assignment.to_vec();
+        pol.decide(o, &mut plan).then_some(plan)
     }
 
     fn counters4() -> Vec<ThreadCounters> {
@@ -473,9 +510,7 @@ mod tests {
         let scale = [1.0; 4];
         let temps = [[90.0, 60.0]; 4];
         let c = counters4();
-        assert!(NoMigration
-            .decide(&obs(&assignment, &scale, &temps, &c))
-            .is_none());
+        assert!(decide(&mut NoMigration, &obs(&assignment, &scale, &temps, &c)).is_none());
     }
 
     #[test]
@@ -493,9 +528,11 @@ mod tests {
             [60.0, 58.0],
         ];
         let c = counters4();
-        let plan = CounterMigration::new()
-            .decide(&obs(&assignment, &scale, &temps, &c))
-            .expect("should migrate");
+        let plan = decide(
+            &mut CounterMigration::new(),
+            &obs(&assignment, &scale, &temps, &c),
+        )
+        .expect("should migrate");
         // Core 0's int hotspot gets the lowest-int thread (3: mcf-like).
         assert_eq!(plan[0], 3);
         // Core 2's fp hotspot must not keep the fp-heavy thread 2.
@@ -525,7 +562,10 @@ mod tests {
         let mut c = counters4();
         // Make thread 2 the *least* fp-intense so core 2 keeps it.
         c[2].fp_rf_per_cycle = 0.01;
-        let plan = CounterMigration::new().decide(&obs(&assignment, &scale, &temps, &c));
+        let plan = decide(
+            &mut CounterMigration::new(),
+            &obs(&assignment, &scale, &temps, &c),
+        );
         if let Some(p) = &plan {
             // If a plan is emitted it must be a permutation.
             let mut sorted = p.clone();
@@ -553,9 +593,11 @@ mod tests {
         let scale = [1.0; 4];
         let temps = [[70.0, 60.0]; 4];
         let c = counters4();
-        let plan = SensorMigration::new(3)
-            .decide(&obs(&assignment, &scale, &temps, &c))
-            .expect("profiling rotation expected");
+        let plan = decide(
+            &mut SensorMigration::new(3),
+            &obs(&assignment, &scale, &temps, &c),
+        )
+        .expect("profiling rotation expected");
         assert_eq!(plan, vec![1, 2, 3, 0]);
     }
 
@@ -600,9 +642,7 @@ mod tests {
         // Now: core 0 int-critical imbalanced, currently running thread 0.
         let assignment = [0, 1, 2, 3];
         let temps = [[84.0, 60.0], [74.0, 60.0], [60.0, 82.0], [56.0, 54.0]];
-        let plan = pol
-            .decide(&obs(&assignment, &scale, &temps, &c))
-            .expect("should migrate");
+        let plan = decide(&mut pol, &obs(&assignment, &scale, &temps, &c)).expect("should migrate");
         // The int-critical core must not keep the int-hottest thread 0.
         assert_ne!(plan[0], 0);
         let mut sorted = plan.clone();
@@ -655,7 +695,10 @@ mod tests {
             };
             4
         ];
-        let plan = CounterMigration::new().decide(&obs(&assignment, &scale, &temps, &c));
+        let plan = decide(
+            &mut CounterMigration::new(),
+            &obs(&assignment, &scale, &temps, &c),
+        );
         assert!(plan.is_none(), "identical threads must not churn: {plan:?}");
     }
 
@@ -685,9 +728,7 @@ mod tests {
             trip_unit: &trip_unit,
         };
         assert_eq!(o.critical_unit(0), HOTSPOT_INT);
-        let plan = CounterMigration::new()
-            .decide(&o)
-            .expect("trip forces a decision");
+        let plan = decide(&mut CounterMigration::new(), &o).expect("trip forces a decision");
         // The tripped core must shed its int-heavy thread 0 for the
         // least-int-intense candidate (thread 3).
         assert_eq!(plan[0], 3);
@@ -702,9 +743,9 @@ mod tests {
         let temps = [[84.0, 60.0], [75.0, 62.0], [63.0, 83.0], [60.0, 58.0]];
         let c = counters4();
         let mut pol = CounterMigration::new();
-        let first = pol.decide(&obs(&assignment, &scale, &temps, &c));
+        let first = decide(&mut pol, &obs(&assignment, &scale, &temps, &c));
         assert!(first.is_some(), "first decision always fires");
-        let second = pol.decide(&obs(&assignment, &scale, &temps, &c));
+        let second = decide(&mut pol, &obs(&assignment, &scale, &temps, &c));
         assert!(second.is_none(), "no new signals: must stay quiet");
     }
 
@@ -714,9 +755,11 @@ mod tests {
         let scale = [1.0; 4];
         let temps = [[70.0, 60.0]; 4];
         let c = counters4();
-        let plan = RotationMigration::new()
-            .decide(&obs(&assignment, &scale, &temps, &c))
-            .expect("always proposes");
+        let plan = decide(
+            &mut RotationMigration::new(),
+            &obs(&assignment, &scale, &temps, &c),
+        )
+        .expect("always proposes");
         assert_eq!(plan, vec![0, 3, 1, 2]);
     }
 

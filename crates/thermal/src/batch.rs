@@ -35,12 +35,14 @@ use std::sync::Arc;
 
 /// Reusable gather/scatter buffers for lockstep stepping: the
 /// column-major `(n + k) × L` input block and `n × L` output block,
-/// both padded to a [`LANE_BLOCK`] multiple of lanes. One workspace per
-/// batch driver, reused across every step.
+/// both padded to a [`LANE_BLOCK`] multiple of lanes, plus the kernel's
+/// packed-tile scratch. One workspace per batch driver, reused across
+/// every step, so a steady-state step allocates nothing.
 #[derive(Debug, Default)]
 pub struct BatchWorkspace {
     x: Vec<f64>,
     y: Vec<f64>,
+    tile: Vec<f64>,
 }
 
 impl BatchWorkspace {
@@ -140,7 +142,7 @@ fn step_batch<S: LaneSolver>(
         col[n..].copy_from_slice(power);
     }
 
-    prop.advance_batch(&ws.x, width, &mut ws.y, n, lanes.len());
+    prop.advance_batch(&mut ws.tile, &ws.x, width, &mut ws.y, n, lanes.len());
 
     // Scatter, then the per-lane post-advance (fast mode), in the same
     // advance-then-fast order as the scalar step.

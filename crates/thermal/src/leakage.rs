@@ -10,6 +10,7 @@
 //!   P_leak(T) = P_ref · exp(β · (T − T_ref))
 //! ```
 
+use crate::memo::ContentHash;
 use serde::{Deserialize, Serialize};
 
 /// Per-block exponential leakage model.
@@ -95,17 +96,31 @@ impl LeakageModel {
     }
 
     /// Adds leakage at `temps` into an existing power vector, avoiding
-    /// allocation.
+    /// allocation, and returns the updated vector's total (W). The total
+    /// is summed in element order from `-0.0`, exactly as
+    /// `power.iter().sum::<f64>()` would after the update, so callers
+    /// need no second pass.
     ///
     /// # Panics
     ///
     /// Panics on length mismatches.
-    pub fn add_power(&self, temps: &[f64], power: &mut [f64]) {
+    pub fn add_power(&self, temps: &[f64], power: &mut [f64]) -> f64 {
         assert_eq!(temps.len(), self.p_ref.len());
         assert_eq!(power.len(), self.p_ref.len());
+        let mut total = -0.0;
         for ((w, &t), &p) in power.iter_mut().zip(temps).zip(&self.p_ref) {
             *w += p * self.factor(t);
+            total += *w;
         }
+        total
+    }
+
+    /// Absorbs every parameter of the model (reference powers, `t_ref`,
+    /// `beta`) into a memo key.
+    pub fn hash_into(&self, h: &mut ContentHash) {
+        h.f64s(&self.p_ref);
+        h.f64(self.t_ref);
+        h.f64(self.beta);
     }
 }
 
@@ -138,10 +153,11 @@ mod tests {
         let temps = [50.0, 70.0, 90.0];
         let expect = m.power(&temps);
         let mut acc = vec![10.0, 20.0, 30.0];
-        m.add_power(&temps, &mut acc);
+        let total = m.add_power(&temps, &mut acc);
         for i in 0..3 {
             assert!((acc[i] - (10.0 * (i as f64 + 1.0) + expect[i])).abs() < 1e-12);
         }
+        assert_eq!(total.to_bits(), acc.iter().sum::<f64>().to_bits());
     }
 
     #[test]

@@ -41,6 +41,7 @@ mod batch;
 mod grid;
 mod leakage;
 pub mod linalg;
+mod memo;
 mod model;
 mod package;
 mod propagator;
@@ -49,6 +50,7 @@ mod sensor;
 pub use batch::{step_grid_batch, step_lumped_batch, BatchWorkspace};
 pub use grid::{GridConfig, GridTemps, GridThermalModel, GridTransient};
 pub use leakage::LeakageModel;
+pub use memo::{ContentHash, SharedMemo};
 pub use model::{ThermalError, ThermalModel, TransientSolver};
 pub use package::PackageConfig;
 pub use propagator::SolverBackend;

@@ -104,6 +104,26 @@ pub fn matmul_strided(
     ldy: usize,
     lanes: usize,
 ) {
+    matmul_strided_in(&mut Vec::new(), rows, cols, a, bias, x, ldx, y, ldy, lanes);
+}
+
+/// [`matmul_strided`] with the packed-tile scratch supplied by the
+/// caller, so a per-step caller reuses one buffer instead of
+/// allocating a tile per call. The scratch's prior contents are never
+/// read: every packed element is written before use.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn matmul_strided_in(
+    xt: &mut Vec<f64>,
+    rows: usize,
+    cols: usize,
+    a: &[f64],
+    bias: &[f64],
+    x: &[f64],
+    ldx: usize,
+    y: &mut [f64],
+    ldy: usize,
+    lanes: usize,
+) {
     assert_eq!(a.len(), rows * cols, "matrix shape mismatch");
     assert_eq!(bias.len(), rows, "bias length mismatch");
     assert!(ldx >= cols, "input leading dimension too small");
@@ -125,7 +145,8 @@ pub fn matmul_strided(
     // Lane-interleaved scratch for one tile: xt[(k - k0)·LANE_BLOCK + j]
     // is column k of block-lane j (zero for lanes past the ragged end —
     // read but never written back).
-    let mut xt = vec![0.0f64; K_TILE.min(whole) * LANE_BLOCK];
+    xt.resize(K_TILE.min(whole) * LANE_BLOCK, 0.0);
+    let xt = &mut xt[..K_TILE.min(whole) * LANE_BLOCK];
     let pack = |xt: &mut [f64], x: &[f64], l0: usize, lb: usize, k0: usize, k1: usize| {
         if lb < LANE_BLOCK {
             xt.iter_mut().for_each(|v| *v = 0.0);
@@ -143,11 +164,11 @@ pub fn matmul_strided(
         // the whole reduction.
         for l0 in (0..lanes).step_by(LANE_BLOCK) {
             let lb = (l0 + LANE_BLOCK).min(lanes) - l0;
-            pack(&mut xt, x, l0, lb, 0, whole);
+            pack(xt, x, l0, lb, 0, whole);
             for i in 0..rows {
                 let row = &a[i * cols..(i + 1) * cols];
                 let mut s = [[0.0f64; LANE_BLOCK]; 4];
-                tile_accumulate(&row[..whole], &xt, &mut s);
+                tile_accumulate(&row[..whole], xt, &mut s);
                 for j in 0..lb {
                     let mut v = (s[0][j] + s[1][j]) + (s[2][j] + s[3][j]);
                     for t in whole..cols {
@@ -171,7 +192,7 @@ pub fn matmul_strided(
         let mut k0 = 0;
         while k0 < whole {
             let k1 = (k0 + K_TILE).min(whole);
-            pack(&mut xt, x, l0, lb, k0, k1);
+            pack(xt, x, l0, lb, k0, k1);
             for i in 0..rows {
                 let row = &a[i * cols + k0..i * cols + k1];
                 let mut s = acc[i];

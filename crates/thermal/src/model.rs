@@ -24,6 +24,7 @@
 //! reference integrator is selected explicitly.
 
 use crate::linalg::{LinalgError, LuFactors, Matrix};
+use crate::memo::ContentHash;
 use crate::propagator::{PowerMap, Propagator, SolverBackend};
 use crate::PackageConfig;
 use dtm_floorplan::Floorplan;
@@ -351,7 +352,9 @@ impl ThermalModel {
     }
 
     /// Validates a power vector (length, finiteness, non-negativity)
-    /// without building the right-hand side.
+    /// without building the right-hand side. The all-valid case is one
+    /// branch-free pass; only a failing vector is searched for the
+    /// first offending index.
     fn check_power(&self, block_power: &[f64]) -> Result<(), ThermalError> {
         if block_power.len() != self.n_blocks {
             return Err(ThermalError::PowerLength {
@@ -359,12 +362,16 @@ impl ThermalModel {
                 got: block_power.len(),
             });
         }
-        for (i, &w) in block_power.iter().enumerate() {
-            if !w.is_finite() || w < 0.0 {
-                return Err(ThermalError::NotPhysical(format!("power[{i}] = {w}")));
-            }
+        let valid = |w: f64| w.is_finite() & (w >= 0.0);
+        if block_power.iter().fold(true, |ok, &w| ok & valid(w)) {
+            return Ok(());
         }
-        Ok(())
+        let (i, w) = block_power
+            .iter()
+            .enumerate()
+            .find(|&(_, &w)| !valid(w))
+            .expect("the fold found an invalid entry");
+        Err(ThermalError::NotPhysical(format!("power[{i}] = {w}")))
     }
 
     fn rhs(&self, block_power: &[f64]) -> Result<Vec<f64>, ThermalError> {
@@ -387,6 +394,18 @@ impl ThermalModel {
     pub fn steady_state(&self, block_power: &[f64]) -> Result<Vec<f64>, ThermalError> {
         let p = self.rhs(block_power)?;
         Ok(self.steady_lu.solve(&p))
+    }
+
+    /// Absorbs every value [`Self::steady_state`] and
+    /// [`Self::fast_resistance`] depend on — the conductance matrix, the
+    /// ambient coupling, the ambient temperature and the fast-mode
+    /// resistances — into a memo key.
+    pub fn hash_steady_inputs(&self, h: &mut ContentHash) {
+        h.usize(self.n_blocks);
+        h.f64s(self.a.as_slice());
+        h.f64s(&self.g_amb);
+        h.f64(self.ambient);
+        h.f64s(&self.fast_r);
     }
 
     /// Consistency checks: the system matrix must be a symmetric
@@ -462,6 +481,9 @@ pub struct TransientSolver {
     prop_fallback: bool,
     cached: Option<(f64, LuFactors)>,
     prop: Option<std::sync::Arc<Propagator>>,
+    /// `(dt, exp(−dt/τ))` of the last fast-mode update: the step size is
+    /// fixed for a whole run, so the exponential is paid once per `dt`.
+    fast_decay: (f64, f64),
     rhs_buf: Vec<f64>,
     sol_buf: Vec<f64>,
 }
@@ -494,6 +516,7 @@ impl TransientSolver {
             prop_fallback: false,
             cached: None,
             prop: None,
+            fast_decay: (f64::NAN, f64::NAN),
             rhs_buf: Vec::new(),
             sol_buf: Vec::new(),
         }
@@ -556,14 +579,14 @@ impl TransientSolver {
         &self.fast_delta
     }
 
-    /// Block *hotspot* temperatures: lumped node temperature plus the
-    /// sub-block fast-mode excess. Thermal sensors read these.
-    pub fn hot_block_temps(&self) -> Vec<f64> {
-        self.temps[..self.model.n_blocks()]
-            .iter()
-            .zip(&self.fast_delta)
-            .map(|(t, d)| t + d)
-            .collect()
+    /// A block's *hotspot* temperature: lumped node temperature plus
+    /// the sub-block fast-mode excess. Thermal sensors read these.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is out of range.
+    pub fn hot_block_temp(&self, block: usize) -> f64 {
+        self.temps[block] + self.fast_delta[block]
     }
 
     /// Initializes all nodes from the steady state of `block_power`,
@@ -735,7 +758,10 @@ impl TransientSolver {
     /// exact exponential update over the full step (shared by both
     /// backends).
     fn step_fast_mode(&mut self, block_power: &[f64], dt: f64) {
-        let decay = (-dt / self.model.fast_tau).exp();
+        if self.fast_decay.0.to_bits() != dt.to_bits() {
+            self.fast_decay = (dt, (-dt / self.model.fast_tau).exp());
+        }
+        let decay = self.fast_decay.1;
         for ((delta, &r), &pw) in self
             .fast_delta
             .iter_mut()

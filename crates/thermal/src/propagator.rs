@@ -43,9 +43,10 @@
 //! cached per `dt` exactly like the backward-Euler LU factorization,
 //! and is rebuilt whenever `dt` moves by more than 1 part in 10¹⁵.
 
-use crate::linalg::{affine_matvec, matmul_strided, LinalgError, Matrix};
+use crate::linalg::{affine_matvec, matmul_strided_in, LinalgError, Matrix};
+use crate::memo::{ContentHash, SharedMemo};
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Tolerance on `‖E‖_∞ − 1` before the propagator is declared
 /// non-physical: exact row sums are ≤ 1 for a network with ambient
@@ -99,19 +100,13 @@ pub(crate) struct Propagator {
 /// rebuilds the *same* propagator for almost every cell; this cache
 /// makes each distinct thermal configuration pay `expm` once per
 /// process. Entries are immutable (`advance` is `&self`) and shared by
-/// `Arc`, so cached reuse is bit-identical to a fresh build.
-const PROPAGATOR_CACHE_CAP: usize = 32;
+/// `Arc`, so cached reuse is bit-identical to a fresh build. At most 32
+/// distinct configurations stay resident, evicted first-in first-out.
+static CACHE: SharedMemo<Propagator> = SharedMemo::new(32);
 
-type CacheEntries = Vec<(u128, Arc<Propagator>)>;
-
-fn cache() -> &'static Mutex<CacheEntries> {
-    static CACHE: OnceLock<Mutex<CacheEntries>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Double-lane FNV-1a (the result cache's construction) over the raw
-/// bit patterns of every input, so any numeric difference — a single
-/// conductance, the ambient, `dt` — yields a different key.
+/// Content hash over the raw bit patterns of every input, so any
+/// numeric difference — a single conductance, the ambient, `dt` —
+/// yields a different key.
 fn content_key(
     a: &Matrix,
     cap: &[f64],
@@ -121,43 +116,28 @@ fn content_key(
     map: &PowerMap<'_>,
     dt: f64,
 ) -> u128 {
-    let mut bytes: Vec<u8> = Vec::with_capacity((a.as_slice().len() + cap.len()) * 8 + 64);
-    let mut push = |v: f64| bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-    push(dt);
-    push(ambient);
-    push(a.rows() as f64);
-    push(n_inputs as f64);
-    for &v in a.as_slice() {
-        push(v);
-    }
-    for &v in cap {
-        push(v);
-    }
-    for &v in g_amb {
-        push(v);
-    }
+    let mut h = ContentHash::new();
+    h.f64(dt);
+    h.f64(ambient);
+    h.usize(a.rows());
+    h.usize(n_inputs);
+    h.f64s(a.as_slice());
+    h.f64s(cap);
+    h.f64s(g_amb);
     match map {
-        PowerMap::Direct => push(f64::from_bits(1)),
+        PowerMap::Direct => h.word(1),
         PowerMap::Weighted(weights) => {
-            push(f64::from_bits(2));
+            h.word(2);
             for w in weights.iter() {
-                push(w.len() as f64);
+                h.usize(w.len());
                 for &(node, frac) in w {
-                    push(node as f64);
-                    push(frac);
+                    h.usize(node);
+                    h.f64(frac);
                 }
             }
         }
     }
-    let fnv = |seed: u64, data: &[u8]| {
-        data.iter().fold(seed, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    };
-    let lo = fnv(0xcbf2_9ce4_8422_2325, &bytes);
-    bytes.reverse();
-    let hi = fnv(0x6c62_272e_07bb_0142, &bytes);
-    ((hi as u128) << 64) | lo as u128
+    h.finish()
 }
 
 impl Propagator {
@@ -178,21 +158,9 @@ impl Propagator {
         dt: f64,
     ) -> Result<Arc<Propagator>, LinalgError> {
         let key = content_key(a, cap, g_amb, ambient, n_inputs, &map, dt);
-        if let Some((_, p)) = cache().lock().unwrap().iter().find(|(k, _)| *k == key) {
-            return Ok(Arc::clone(p));
-        }
-        let built = Arc::new(Propagator::new(a, cap, g_amb, ambient, n_inputs, map, dt)?);
-        let mut guard = cache().lock().unwrap();
-        // A racing builder may have inserted the same key; keep theirs
-        // (the contents are identical by construction).
-        if let Some((_, p)) = guard.iter().find(|(k, _)| *k == key) {
-            return Ok(Arc::clone(p));
-        }
-        if guard.len() >= PROPAGATOR_CACHE_CAP {
-            guard.remove(0); // FIFO: oldest distinct configuration
-        }
-        guard.push((key, Arc::clone(&built)));
-        Ok(built)
+        CACHE.get_or_try_insert(key, || {
+            Propagator::new(a, cap, g_amb, ambient, n_inputs, map, dt)
+        })
     }
 
     /// Builds `E`/`F` for the system `C·dT/dt = p − A·T` at step `dt`,
@@ -280,17 +248,22 @@ impl Propagator {
     /// column-major input block `x` (leading dimension `ldx`) holds lane
     /// `l`'s concatenated `[T | p]`, and column `l` of `y` (leading
     /// dimension `ldy`) receives its next temperatures. One cache-blocked
-    /// [`matmul_strided`] call replaces `lanes` [`Propagator::advance`]
-    /// matvecs; each lane's output is bit-identical to the scalar path.
+    /// [`crate::linalg::matmul_strided`] call replaces `lanes`
+    /// [`Propagator::advance`] matvecs; each lane's output is
+    /// bit-identical to the scalar path. `tile` is the kernel's reusable
+    /// packed-tile scratch.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn advance_batch(
         &self,
+        tile: &mut Vec<f64>,
         x: &[f64],
         ldx: usize,
         y: &mut [f64],
         ldy: usize,
         lanes: usize,
     ) {
-        matmul_strided(
+        matmul_strided_in(
+            tile,
             self.n,
             self.n + self.n_inputs,
             &self.rows,

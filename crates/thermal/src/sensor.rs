@@ -128,10 +128,25 @@ impl SensorBank {
     ///
     /// Panics if any sensor's block index is out of range.
     pub fn read_all(&mut self, block_temps: &[f64]) -> Vec<f64> {
-        self.blocks
-            .iter()
-            .map(|&b| self.spec.read(block_temps[b], &mut self.rng))
-            .collect()
+        let mut out = vec![0.0; self.blocks.len()];
+        self.read_into(|b| block_temps[b], &mut out);
+        out
+    }
+
+    /// Reads every sensor into `out` (in [`Self::blocks`] order, drawing
+    /// noise in the same sequence as [`Self::read_all`]), taking each
+    /// observed block's true temperature from `temp_of(block)`. Lets a
+    /// caller read only the sensor sites, without materializing a
+    /// whole-floorplan temperature vector or allocating the readings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not one slot per sensor.
+    pub fn read_into(&mut self, temp_of: impl Fn(usize) -> f64, out: &mut [f64]) {
+        assert_eq!(out.len(), self.blocks.len(), "one slot per sensor");
+        for (slot, &b) in out.iter_mut().zip(&self.blocks) {
+            *slot = self.spec.read(temp_of(b), &mut self.rng);
+        }
     }
 }
 
